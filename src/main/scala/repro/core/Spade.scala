@@ -361,8 +361,9 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     * the two endpoints at the earlier endpoint's step (weights are monotone
     * in the active set, so `w(S_0) <= B` proves the whole remaining prefix
     * is unaffected). The suffix after the cut is then re-peeled against the
-    * frozen prefix — O(E_suffix log V_suffix), simpler than the forward
-    * merge and exactly correct; deletion appears in no paper table.
+    * frozen prefix by Algorithm 1's loop (`StaticPeeling.drain`) —
+    * O(E_suffix log V_suffix), simpler than the forward merge and exactly
+    * correct; deletion appears in no paper table.
     *
     * Returns None when the edge does not exist.
     */
@@ -397,14 +398,9 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
       p += 1
     }
     var q = cut
-    while (heap.nonEmpty) {
-      val pw = heap.minKey
-      val v = heap.popMin()
+    StaticPeeling.drain(graph, heap) { (v, pw) =>
       _order.set(q, v, pw)
-      graph.foreachIncident(v) { (x, c) =>
-        edgesTouched += 1
-        if (heap.contains(x)) heap.addTo(x, -c)
-      }
+      edgesTouched += graph.degree(v)
       q += 1
     }
     detect()

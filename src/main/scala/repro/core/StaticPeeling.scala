@@ -23,17 +23,27 @@ object StaticPeeling {
     val seq = new Array[Int](n)
     val wts = new Array[Double](n)
     var i = 0
+    drain(g, heap) { (v, w) => seq(i) = v; wts(i) = w; i += 1 }
+    PeelOrder.fromArrays(seq, wts, n - 1)
+  }
+
+  /** The greedy peel loop itself, shared by Algorithm 1, the deletion repair
+    * (Appendix C.1) and the enumeration (Appendix C.2). The caller seeds
+    * `heap` with the vertices to peel, keyed by their peel weight against the
+    * seeded set; vertices outside the heap count as already removed. Pops in
+    * `(weight, id)` order, calls `emit(v, w)` with each vertex and its peel
+    * weight, and lowers the keys of its neighbours still in the heap. Leaves
+    * the heap empty. O(E_seeded log V_seeded).
+    */
+  def drain(g: DynGraph, heap: IndexedMinHeap)(emit: (Int, Double) => Unit): Unit = {
     while (heap.nonEmpty) {
       val w = heap.minKey
       val v = heap.popMin()
-      seq(i) = v
-      wts(i) = w
+      emit(v, w)
       g.foreachIncident(v) { (x, c) =>
         if (heap.contains(x)) heap.addTo(x, -c)
       }
-      i += 1
     }
-    PeelOrder.fromArrays(seq, wts, n - 1)
   }
 
   /** Convenience: peel and detect in one call (the "from scratch on every

@@ -16,9 +16,12 @@ import scala.collection.mutable
   * The graph state is driver-side on purpose: the peeling-sequence merge is
   * a sequential priority-queue algorithm (that sequentiality is the paper's
   * contribution), while Spark owns ingestion, ordering and the surrounding
-  * dataflow. `foreachBatch` gives exactly-once, in-order micro-batches on a
-  * single stream, which is the consistency the evolving-graph model of §2.1
-  * (ordered edge insertions) requires.
+  * dataflow. `foreachBatch` delivers in-order micro-batches on a single
+  * stream but only at-least-once: on recovery it may replay a batch that was
+  * already folded in. `processBatch` therefore skips any `batchId` at or
+  * below the last one it committed, so each batch's edges are inserted once,
+  * which is the consistency the evolving-graph model of §2.1 (ordered edge
+  * insertions) requires.
   */
 final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = 0.6) {
 
@@ -30,6 +33,7 @@ final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = 0.6) {
 
   private val reportsBuf = mutable.ArrayBuffer.empty[BatchReport]
   private val spotted = mutable.HashSet.empty[Int]
+  private var lastBatchId = -1L
 
   /** Reports of all micro-batches processed so far (driver-side). */
   def reports: Seq[BatchReport] = reportsBuf.synchronized { reportsBuf.toVector }
@@ -41,13 +45,19 @@ final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = 0.6) {
   def initialize(initial: Seq[Tx]): Community = spade.loadGraph(initial)
 
   /** Fold one already-collected micro-batch into the state. Exposed so the
-    * offline replay and the streaming sink share one code path.
+    * offline replay and the streaming sink share one code path. A replayed
+    * batch (`batchId` at or below the last committed one) leaves the state
+    * as it is and gets an unrecorded report with no edges, nothing newly
+    * spotted and zero reorder stats.
     */
   def processBatch(batchId: Long, txs: Array[Tx]): BatchReport = {
+    if (batchId <= lastBatchId)
+      return BatchReport(batchId, 0, spade.community, Array.empty, ReorderStats.zero)
     val ordered = txs.sortBy(t => (t.ts, t.src, t.dst))
     val stats = spade.insertBatchEdges(ordered.toSeq)
     val community = spade.detect()
     val suspects = spade.detectSuspects(spotBeta)
+    lastBatchId = batchId
     reportsBuf.synchronized {
       val fresh = suspects.members.filterNot(spotted.contains)
       fresh.foreach(spotted.add)

@@ -61,4 +61,42 @@ class EnumerationSpec extends AnyFunSuite {
     assert(cs.head.memberSet.intersect(Set(0, 1, 2)).nonEmpty)
     assert(cs.map(_.memberSet).reduce(_ ++ _).intersect(Set(10, 11, 12)).nonEmpty)
   }
+
+  private def assertMatchesReference(g: DynGraph, maxCommunities: Int, minDensity: Double,
+                                     clue: String): Seq[Community] = {
+    val got = Enumeration.enumerate(g, maxCommunities, minDensity)
+    val want = referenceEnumerate(g, maxCommunities, minDensity)
+    assert(got.length == want.length, s"$clue: ${got.length} vs ${want.length} communities")
+    got.zip(want).zipWithIndex.foreach { case ((c, r), i) =>
+      assert(c.memberSet == r.memberSet, s"$clue: members of community $i differ")
+      assert(math.abs(c.density - r.density) < 1e-9, s"$clue: density of community $i ${c.density} vs ${r.density}")
+    }
+    got
+  }
+
+  test("differential: masked enumeration equals a static peel of the rebuilt residual graph") {
+    Suspiciousness.paperMetrics.foreach { m =>
+      val rounds = (1L to 12L).map { seed =>
+        val g = loadedSpade(m, randomTxs(60, 100, seed)).graph
+        val cs = assertMatchesReference(g, maxCommunities = 16, minDensity = 1e-9, s"${m.name} seed $seed")
+        assertMatchesReference(g, maxCommunities = 2, minDensity = 1e-9, s"${m.name} seed $seed cap")
+        assertMatchesReference(g, maxCommunities = 16, minDensity = cs.head.density * 0.7,
+          s"${m.name} seed $seed threshold")
+        cs.length
+      }
+      assert(rounds.sum >= 2 * rounds.length, s"${m.name}: communities per seed $rounds")
+    }
+  }
+
+  test("FD with vertex priors: isolated prior-weighted vertices left over end the enumeration") {
+    // Vertices 3 and 4 are created with prior 0.1 by the edge (0, 4); vertex
+    // 3 stays isolated. After {0, 1, 2, 4} is removed only vertex 3 is left:
+    // its density 0.1 clears minDensity, but no edge is left, so it is not
+    // reported.
+    val fd = new Suspiciousness.Fraudar(prior = v => if (v >= 3) 0.1 else 0.0)
+    val spade = loadedSpade(fd, triangle(0, 1.0) :+ Tx(0, 4, 1.0))
+    assert(spade.graph.vertexWeight(3) == 0.1 && spade.graph.degree(3) == 0)
+    val cs = assertMatchesReference(spade.graph, maxCommunities = 5, minDensity = 1e-9, "FD prior")
+    assert(cs.length == 1 && cs.head.memberSet == Set(0, 1, 2, 4))
+  }
 }

@@ -112,6 +112,50 @@ object TestUtil {
     }
   }
 
+  /** Copy of `g` without the removed vertices' incident edges. Vertex ids
+    * are preserved (removed vertices stay as isolated weight-0 ids so member
+    * arrays of successive communities share one id space).
+    */
+  private def residualGraph(g: DynGraph, removed: Array[Boolean]): DynGraph = {
+    val r = new DynGraph(g.numVertices)
+    if (g.numVertices == 0) return r
+    r.ensureVertex(g.numVertices - 1)
+    var u = 0
+    while (u < g.numVertices) {
+      if (!removed(u)) {
+        r.setVertexWeight(u, g.vertexWeight(u))
+        g.foreachIncidentOut(u) { (v, c) => if (!removed(v)) r.addEdge(u, v, c) }
+      }
+      u += 1
+    }
+    r
+  }
+
+  /** Reference enumeration (Appendix C.2) for `Enumeration.enumerate`: a
+    * static peel of an explicitly rebuilt residual graph per community,
+    * stopping when the residual graph has no edge left.
+    */
+  def referenceEnumerate(g: DynGraph, maxCommunities: Int, minDensity: Double): Seq[Community] = {
+    val removed = new Array[Boolean](g.numVertices)
+    val out = Seq.newBuilder[Community]
+    var found = 0
+    var done = false
+    while (!done && found < maxCommunities) {
+      val residual = residualGraph(g, removed)
+      if (residual.numEdges == 0) done = true
+      else {
+        val c = StaticPeeling.detect(residual)
+        if (c.density < minDensity || c.size == 0) done = true
+        else {
+          out += c
+          c.members.foreach(v => removed(v) = true)
+          found += 1
+        }
+      }
+    }
+    out.result()
+  }
+
   /** Deterministic random transaction stream over a dense id space.
     * Amounts are dyadic rationals (multiples of 0.25) so DW sums are exact
     * in binary floating point — every tie is a true tie.

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.{SparkSpec, SynthData}
 import repro.SynthData.TxStreamSpec
-import repro.core.{Spade, Suspiciousness, Tx}
+import repro.core.{ReorderStats, Spade, Suspiciousness, Tx}
 
 /** Top-level so Spark can generate an encoder for it. */
 case class TxRow(src: Int, dst: Int, amount: Double, ts: Double, fraudId: Int)
@@ -82,5 +82,30 @@ class StreamingSpadeSpec extends SparkSpec {
     assert(a.spade.graph.numEdges == b.spade.graph.numEdges)
     assert(a.spade.order.length == b.spade.order.length)
     assert(math.abs(a.spade.detect().density - b.spade.detect().density) < 1e-6)
+  }
+
+  test("a replayed batchId is skipped: applying batch k twice equals applying it once") {
+    val (init, inc) = streamData()
+    val chunks = inc.grouped(40).toArray
+    val k = chunks.length / 2
+    def fold(replayK: Boolean): StreamingSpade = {
+      val p = new StreamingSpade(Suspiciousness.DW)
+      p.initialize(init.toSeq)
+      chunks.indices.foreach { b =>
+        p.processBatch(b.toLong, chunks(b))
+        if (replayK && b == k) {
+          val again = p.processBatch(b.toLong, chunks(b))
+          assert(again.edges == 0 && again.newlySpotted.isEmpty && again.stats == ReorderStats.zero)
+        }
+      }
+      p
+    }
+    val once = fold(replayK = false)
+    val twice = fold(replayK = true)
+    assert(twice.spade.graph.numEdges == once.spade.graph.numEdges)
+    assert(twice.spade.order.toVertexSeq == once.spade.order.toVertexSeq)
+    assert(twice.spade.community.memberSet == once.spade.community.memberSet)
+    assert(twice.spade.community.density == once.spade.community.density)
+    assert(twice.reports.length == once.reports.length)
   }
 }
