@@ -5,15 +5,11 @@ import repro.core.Suspiciousness
 
 /** Reproduces Table 4: static peeling runtime vs per-edge incremental
   * maintenance time across batch sizes, plus the Fig. 10 speedup claim and
-  * the §5.1 affected-area fractions.
-  *
-  * Paper batch sizes are 1 / 10 / 100 / 1K / 100K over ~1–2.5M increments;
-  * our increments are ~1/40 of that, so the top batch size scales to 10K
-  * (same batches-per-stream ratio).
+  * the §5.1 affected-area fractions, at `TableRunners.Table4BatchSizes`.
   */
 class Table4IncrementalMaintenanceBench extends SparkSpec {
 
-  private val batchSizes = Seq(1, 10, 100, 1000, 10000)
+  private val batchSizes = TableRunners.Table4BatchSizes
 
   test("Table 4: incremental maintenance by batch size") {
     val rows = for {

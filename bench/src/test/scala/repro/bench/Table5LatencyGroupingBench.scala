@@ -17,7 +17,8 @@ class Table5LatencyGroupingBench extends SparkSpec {
 
     TableRunners.printTable5(rows)
     println("\n--- paper reference (Table 5 / §5.2): Inc-1K L on Grab1 ≈ 2.5–2.9, on Grab4 ≈ 0.74–0.76;")
-    println("    grouping L ≈ 0.004–0.03; prevention (grouping): DG 88.34%, DW 86.53%, FD 92.47% ---")
+    println("    grouping L ≈ 0.004–0.03; prevention (grouping) DG/DW/FD: " +
+      BenchDatasets.PaperNumbers.preventionGrouped + " ---")
 
     val byKey = rows.map(r => (r.dataset, r.metric) -> r).toMap
 

@@ -35,13 +35,12 @@ object Table4Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.make("spade-table4")
     val specs = if (args.contains("grabOnly")) BenchDatasets.grabSpecs else BenchDatasets.allSpecs
-    val batchSizes = Seq(1, 10, 100, 1000, 10000)
     try {
       val rows = for {
         spec <- specs
         metric <- Suspiciousness.paperMetrics
-      } yield TableRunners.table4Cell(spark, spec, metric, batchSizes)
-      TableRunners.printTable4(rows, batchSizes)
+      } yield TableRunners.table4Cell(spark, spec, metric, TableRunners.Table4BatchSizes)
+      TableRunners.printTable4(rows, TableRunners.Table4BatchSizes)
     } finally spark.stop()
   }
 }

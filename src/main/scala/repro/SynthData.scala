@@ -133,13 +133,4 @@ object SynthData {
 
     bg.unionByName(blocks).orderBy("ts", "src", "dst")
   }
-
-  /** Table-3-style statistics of a generated stream. */
-  def txStreamStats(df: DataFrame): DataFrame = {
-    df.agg(
-      countDistinct(col("src")) + countDistinct(col("dst")) as "approx_v",
-      count(lit(1))                                         as "e",
-      count(when(col("fraudId") >= 0, 1))                   as "fraud_edges",
-    )
-  }
 }

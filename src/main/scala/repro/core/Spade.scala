@@ -20,7 +20,6 @@ final case class ReorderStats(
     edgesTouched: Long,
     newVertices: Int,
 ) {
-  def windowSize: Int = emitted
   def merge(o: ReorderStats): ReorderStats = ReorderStats(
     math.min(scanFrom, o.scanFrom), math.max(scanTo, o.scanTo),
     emitted + o.emitted, recovered + o.recovered,
@@ -77,7 +76,6 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   // ---- edge-grouping state (§4.3) ----
   private val pendingTxs = mutable.ArrayBuffer.empty[Tx]
   private val pendingInc = mutable.HashMap.empty[Int, Double]
-  private var cachedDensity = 0.0
   private var lastCommunity: Community = Community(0.0, Array.empty)
 
   /** The maintained peeling sequence (read-only view for tests/benches). */
@@ -94,10 +92,13 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   // ------------------------------------------------------------------
 
   /** Bulk-load transactions (weights materialized in arrival order), then
-    * run the static peeling once. Returns the initial community.
+    * run the static peeling once. Returns the initial community. Rejects
+    * all of `txs`, before touching any state, if one is not [[isValid]].
     */
   def loadGraph(txs: IterableOnce[Tx]): Community = {
-    txs.iterator.foreach { t => applyTx(t); () }
+    val all = IndexedSeq.from(txs)
+    all.foreach(checkedEsusp)
+    all.foreach(applyTx)
     _order = StaticPeeling.peel(graph)
     loaded = true
     detect()
@@ -119,6 +120,25 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     graph.addEdge(t.src, t.dst, c)
   }
 
+  /** Whether `t` can be inserted into the current graph: distinct ids >= 0
+    * and a positive, finite `esusp` (an `esusp` that throws is invalid).
+    */
+  def isValid(t: Tx): Boolean = !validEsusp(t).isNaN
+
+  /** `esusp(t)` on the current graph, or NaN when `t` is not valid. */
+  private def validEsusp(t: Tx): Double = {
+    val c = if (t.src < 0 || t.dst < 0 || t.src == t.dst) Double.NaN
+            else try metric.esusp(t, graph) catch { case _: Exception => Double.NaN }
+    if (c > 0 && c < Double.PositiveInfinity) c else Double.NaN
+  }
+
+  /** `esusp(t)`, or an `IllegalArgumentException` naming `t` if not valid. */
+  private def checkedEsusp(t: Tx): Double = {
+    val c = validEsusp(t)
+    require(!c.isNaN, s"invalid transaction $t: needs distinct ids >= 0 and a positive finite esusp")
+    c
+  }
+
   // ------------------------------------------------------------------
   // Detection
   // ------------------------------------------------------------------
@@ -126,7 +146,6 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   /** Recompute the densest prefix community (O(|V|)) and cache it. */
   def detect(): Community = {
     lastCommunity = _order.detect()
-    cachedDensity = lastCommunity.density
     lastCommunity
   }
 
@@ -134,7 +153,7 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     * `beta` of the best density — equally dense fraud instances are all
     * reported, not only the single argmax. O(|V|).
     */
-  def detectSuspects(beta: Double = 0.6): Community = _order.detectThreshold(beta)
+  def detectSuspects(beta: Double = StreamReplay.DefaultSpotBeta): Community = _order.detectThreshold(beta)
 
   // ------------------------------------------------------------------
   // Incremental insertion (§4.1 / §4.2)
@@ -143,9 +162,17 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   /** Insert one edge and reorder the affected peeling subsequence (§4.1). */
   def insertEdge(t: Tx): ReorderStats = insertBatchEdges(Seq(t))
 
-  /** Insert a batch of edges and reorder once (Algorithm 2). */
+  /** Insert a batch of edges and reorder once (Algorithm 2). Rejects the
+    * whole batch, before touching any state, if one edge is not [[isValid]].
+    */
   def insertBatchEdges(txs: Seq[Tx]): ReorderStats = {
     if (!loaded) { loadGraph(txs); return ReorderStats.zero }
+    txs.foreach(checkedEsusp)
+    insertChecked(txs)
+  }
+
+  /** [[insertBatchEdges]] of transactions already checked by [[isValid]]. */
+  private def insertChecked(txs: Seq[Tx]): ReorderStats = {
     if (txs.isEmpty) return ReorderStats.zero
 
     // Materialize the updates; collect the black set: ΔV = edge endpoints
@@ -316,33 +343,35 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     * `w_u(S_0) + c < g(S^P)` — it can then neither join nor improve the
     * densest community (Lemmas 4.3 / 4.4). Urgent edges are everything else.
     */
-  def isBenign(t: Tx): Boolean = {
-    val c = metric.esusp(t, graph)
-    w0(t.src) + c < cachedDensity && w0(t.dst) + c < cachedDensity
-  }
+  def isBenign(t: Tx): Boolean = benign(t, metric.esusp(t, graph))
+
+  private def benign(t: Tx, c: Double): Boolean =
+    w0(t.src) + c < lastCommunity.density && w0(t.dst) + c < lastCommunity.density
 
   /** Grouped insertion: benign edges buffer; an urgent edge (or a full
     * buffer) triggers one batch reorder of everything pending and refreshes
-    * the community. Returns the reorder stats when a flush happened.
+    * the community. Returns the reorder stats when a flush happened. An
+    * edge that is not [[isValid]] is rejected before it is buffered.
     */
   def insertGrouped(t: Tx): Option[ReorderStats] = {
     require(loaded, "call loadGraph before grouped insertion")
-    val urgent = !isBenign(t)
+    val c = checkedEsusp(t)
     pendingTxs += t
-    if (urgent || pendingTxs.length >= flushCap) {
+    if (!benign(t, c) || pendingTxs.length >= flushCap) {
       Some(flushPending())
     } else {
-      val c = metric.esusp(t, graph)
       pendingInc(t.src) = pendingInc.getOrElse(t.src, 0.0) + c
       pendingInc(t.dst) = pendingInc.getOrElse(t.dst, 0.0) + c
       None
     }
   }
 
-  /** Flush the benign buffer through one batch reorder and re-detect. */
+  /** Flush the benign buffer (checked when buffered) through one batch
+    * reorder and re-detect.
+    */
   def flushPending(): ReorderStats = {
     if (pendingTxs.isEmpty) return ReorderStats.zero
-    val stats = insertBatchEdges(pendingTxs.toSeq)
+    val stats = insertChecked(pendingTxs.toSeq)
     pendingTxs.clear()
     pendingInc.clear()
     detect()

@@ -5,8 +5,8 @@ import scala.collection.mutable
 /** Discrete-event replay of an update stream `ΔG^τ` (§4.3), producing the
   * evaluation metrics of §5:
   *
-  *  - *maintenance time*: measured wall time of the reorder calls only
-  *    (what Table 4 reports per edge);
+  *  - *maintenance* and *suspects time*: measured wall time per phase, as
+  *    below (Tables 4 and 5 report maintenance time per edge);
   *  - *latency* `L` (Eq. 4): virtual response time — an edge arriving at
   *    `τ_i` is responded to when the flush containing it completes; measured
   *    processing wall-time is mapped 1:1 into virtual seconds;
@@ -19,7 +19,14 @@ import scala.collection.mutable
   *    final graph.
   *
   * Each replay builds a fresh [[Spade]], loads `initial`, then replays
-  * `increments` in arrival order.
+  * `increments` in arrival order. Both incremental modes run one loop on
+  * one virtual server and differ only in when a flush fires. Every Spade
+  * call they make is timed once, advances the virtual clock and is charged
+  * to one phase: the calls that make the sequence and the community
+  * current (`insertBatchEdges` + `detect`, or `insertGrouped` /
+  * `flushPending`, benign checks included) to `maintenanceNanos`,
+  * `detectSuspects` to `suspectsNanos`. A flush's response time includes
+  * both.
   */
 object StreamReplay {
 
@@ -29,13 +36,16 @@ object StreamReplay {
     */
   val DefaultSpotBeta = 0.6
 
+  /** Chunk size, in edges, of the capability oracle behind [[replayStatic]]. */
+  val OracleGranularity = 200
+
   /** Aggregated result of one replay configuration. */
   final case class ReplayResult(
       mode: String,
       edges: Int,
       flushes: Int,
       maintenanceNanos: Long,
-      detectNanos: Long,
+      suspectsNanos: Long,
       avgLatencyAll: Double,
       avgLatencyFraud: Double,
       avgQueueing: Double,
@@ -49,15 +59,15 @@ object StreamReplay {
     def perEdgeMicros: Double = if (edges == 0) 0.0 else maintenanceNanos / 1e3 / edges
   }
 
-  /** Tracks per-vertex spotting times and scores fraud edges against them. */
+  /** Tracks per-vertex spotting times, scores fraud edges, sums responses. */
   private final class PreventionTracker {
     private val spottedAt = mutable.HashMap.empty[Int, Double]
-    var fraudTotal = 0
-    var fraudPrevented = 0
-    var latencyAllSum = 0.0
-    var latencyFraudSum = 0.0
-    var queueSum = 0.0
-    var nAll = 0
+    private var fraudTotal = 0
+    private var fraudPrevented = 0
+    private var latencyAllSum = 0.0
+    private var latencyFraudSum = 0.0
+    private var queueSum = 0.0
+    private var nAll = 0
 
     def observeArrival(t: Tx): Unit = {
       if (t.isFraud) {
@@ -75,140 +85,132 @@ object StreamReplay {
       nAll += 1
     }
 
-    def spot(members: Array[Int], visibleAt: Double): Unit =
-      members.foreach { v => if (!spottedAt.contains(v)) spottedAt(v) = visibleAt }
+    /** `v` is banned from `visibleAt` on, unless it already was earlier. */
+    def spot(v: Int, visibleAt: Double): Unit =
+      if (!spottedAt.contains(v)) spottedAt(v) = visibleAt
 
-    def spotCount: Int = spottedAt.size
-    def preventionRatio: Double = if (fraudTotal == 0) 0.0 else fraudPrevented.toDouble / fraudTotal
+    /** The result of a replay that answered every edge once. */
+    def result(mode: String, flushes: Int, maintNanos: Long, suspectsNanos: Long,
+               agg: ReorderStats): ReplayResult = {
+      val n = math.max(1, nAll)
+      ReplayResult(
+        mode = mode,
+        edges = nAll,
+        flushes = flushes,
+        maintenanceNanos = maintNanos,
+        suspectsNanos = suspectsNanos,
+        avgLatencyAll = latencyAllSum / n,
+        avgLatencyFraud = if (fraudTotal == 0) 0.0 else latencyFraudSum / fraudTotal,
+        avgQueueing = queueSum / n,
+        preventionRatio = if (fraudTotal == 0) 0.0 else fraudPrevented.toDouble / fraudTotal,
+        fraudEdges = fraudTotal,
+        spottedVertices = spottedAt.size,
+        stats = agg,
+      )
+    }
   }
 
-  /** Replay with fixed-size batches (`IncX-batch` rows of Tables 4/5).
-    * A batch flushes when `batchSize` edges have queued; the flush runs the
-    * Algorithm-2 reorder. `detect` runs every `detectEvery` flushes —
-    * Table 4 measures pure maintenance time, so tiny batch sizes use a
-    * coarser detection cadence to keep the O(|V|) density walk out of the
-    * per-edge numbers (the reported `maintenanceNanos` never includes it
-    * either way).
+  /** A completed flush: its reorder stats, and whether to spot after it. */
+  private final case class Flush(stats: ReorderStats, spot: Boolean)
+
+  /** The virtual single-threaded server of an incremental replay. */
+  private final class Server(val spade: Spade, var clock: Double) {
+    /** Arrivals since the last flush; the next flush answers them. */
+    val queued = mutable.ArrayBuffer.empty[Tx]
+    var flushes = 0
+    var maintenanceNanos = 0L
+    var suspectsNanos = 0L
+
+    def maintain[A](call: => A): A = timed(call)(maintenanceNanos += _)
+    def suspects(): Community = timed(spade.detectSuspects(DefaultSpotBeta))(suspectsNanos += _)
+
+    private def timed[A](call: => A)(charge: Long => Unit): A = {
+      val t0 = System.nanoTime()
+      val r = call
+      val ns = System.nanoTime() - t0
+      charge(ns)
+      clock += ns / 1e9
+      r
+    }
+  }
+
+  /** The one loop behind both incremental modes: per arrival, from
+    * `max(arrival, clock)`, `arrive(server, edge, isLast)` makes the mode's
+    * calls through `server.maintain`; when it reports a flush, the loop
+    * spots if asked and answers every queued edge.
     */
-  def replayBatched(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx],
-                    batchSize: Int, detectEvery: Int = 1,
-                    spotBeta: Double = DefaultSpotBeta): ReplayResult = {
-    require(batchSize >= 1, "batch size must be >= 1")
-    require(detectEvery >= 1, "detectEvery must be >= 1")
+  private def replayIncremental(mode: String, metric: Suspiciousness, initial: Seq[Tx],
+                                increments: Seq[Tx])
+                               (arrive: (Server, Tx, Boolean) => Option[Flush]): ReplayResult = {
     val spade = new Spade(metric)
     spade.loadGraph(initial)
     val tracker = new PreventionTracker
+    if (increments.isEmpty) return tracker.result(mode, 0, 0L, 0L, ReorderStats.zero)
     // fraudsters known from the initial graph are already banned when the
     // stream starts — every mode (incl. static) gets this head start
-    if (increments.nonEmpty)
-      tracker.spot(spade.detectSuspects(spotBeta).members, increments.head.ts - 1.0)
-    var maintNanos = 0L
-    var detNanos = 0L
-    var flushes = 0
-    var prevCompletion = if (increments.isEmpty) 0.0 else increments.head.ts
+    spade.detectSuspects(DefaultSpotBeta).members.foreach(tracker.spot(_, increments.head.ts - 1.0))
+    val server = new Server(spade, increments.head.ts)
     var agg = ReorderStats.zero
-
-    increments.grouped(batchSize).foreach { chunk =>
-      chunk.foreach(tracker.observeArrival)
-      val trigger = chunk.last.ts
-      val start = math.max(trigger, prevCompletion)
-      val t0 = System.nanoTime()
-      val st = spade.insertBatchEdges(chunk)
-      val t1 = System.nanoTime()
-      maintNanos += t1 - t0
-      agg = agg.merge(st)
-      flushes += 1
-      val doDetect = flushes % detectEvery == 0
-      var t2 = t1
-      if (doDetect) {
-        spade.detect()
-        val suspects = spade.detectSuspects(spotBeta)
-        t2 = System.nanoTime()
-        detNanos += t2 - t1
-        val completion = start + (t2 - t0) / 1e9
-        tracker.spot(suspects.members, completion)
+    val lastIdx = increments.length - 1
+    increments.iterator.zipWithIndex.foreach { case (t, i) =>
+      tracker.observeArrival(t)
+      server.queued += t
+      server.clock = math.max(server.clock, t.ts)
+      val start = server.clock
+      arrive(server, t, i == lastIdx).foreach { f =>
+        if (f.spot) server.suspects().members.foreach(tracker.spot(_, server.clock))
+        server.queued.foreach(tracker.recordResponse(_, start, server.clock))
+        server.queued.clear()
+        server.flushes += 1
+        agg = agg.merge(f.stats)
       }
-      val completion = start + (t2 - t0) / 1e9
-      prevCompletion = completion
-      chunk.foreach(t => tracker.recordResponse(t, start, completion))
     }
-    result("batch-" + batchSize, increments, flushes, maintNanos, detNanos, tracker, agg)
+    tracker.result(mode, server.flushes, server.maintenanceNanos, server.suspectsNanos, agg)
+  }
+
+  /** Replay with fixed-size batches (`IncX-batch` rows of Tables 4/5).
+    * A flush fires when `batchSize` edges have queued, or at the end of the
+    * stream, and runs the Algorithm-2 reorder. `detect` and spotting run
+    * every `detectEvery` flushes: Table 4 uses a coarser cadence for tiny
+    * batch sizes, so the O(|V|) walks are amortized over many edges.
+    */
+  def replayBatched(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx],
+                    batchSize: Int, detectEvery: Int = 1): ReplayResult = {
+    require(batchSize >= 1, "batch size must be >= 1")
+    require(detectEvery >= 1, "detectEvery must be >= 1")
+    replayIncremental("batch-" + batchSize, metric, initial, increments) { (server, _, last) =>
+      if (server.queued.length < batchSize && !last) None
+      else {
+        val st = server.maintain(server.spade.insertBatchEdges(server.queued.toSeq))
+        val detect = (server.flushes + 1) % detectEvery == 0
+        if (detect) server.maintain(server.spade.detect())
+        Some(Flush(st, spot = detect))
+      }
+    }
   }
 
   /** Replay with edge grouping (§4.3, the `IncXG` rows): benign edges
     * buffer, an urgent edge flushes everything pending immediately.
     */
-  def replayGrouped(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx],
-                    flushCap: Int = 1 << 20,
-                    spotBeta: Double = DefaultSpotBeta): ReplayResult = {
-    val spade = new Spade(metric, flushCap)
-    spade.loadGraph(initial)
-    val tracker = new PreventionTracker
-    if (increments.nonEmpty)
-      tracker.spot(spade.detectSuspects(spotBeta).members, increments.head.ts - 1.0)
-    var maintNanos = 0L
-    var flushes = 0
-    var prevCompletion = if (increments.isEmpty) 0.0 else increments.head.ts
-    var agg = ReorderStats.zero
-    val queued = mutable.ArrayBuffer.empty[Tx]
-
-    def complete(trigger: Double, nanos: Long, st: ReorderStats): Unit = {
-      val start = math.max(trigger, prevCompletion)
-      val completion = start + nanos / 1e9
-      prevCompletion = completion
-      queued.foreach(t => tracker.recordResponse(t, start, completion))
-      queued.clear()
-      tracker.spot(spade.detectSuspects(spotBeta).members, completion)
-      agg = agg.merge(st)
-      flushes += 1
+  def replayGrouped(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx]): ReplayResult =
+    replayIncremental("grouped", metric, initial, increments) { (server, t, last) =>
+      val spade = server.spade
+      server.maintain(spade.insertGrouped(t))
+        .orElse(if (last) Some(server.maintain(spade.flushPending())) else None)
+        .map(Flush(_, spot = true))
     }
-
-    increments.foreach { t =>
-      tracker.observeArrival(t)
-      queued += t
-      val t0 = System.nanoTime()
-      val flushed = spade.insertGrouped(t)
-      val t1 = System.nanoTime()
-      flushed.foreach { st =>
-        maintNanos += t1 - t0
-        complete(t.ts, t1 - t0, st)
-      }
-    }
-    if (spade.pendingCount > 0) {
-      val trigger = increments.last.ts
-      val t0 = System.nanoTime()
-      val st = spade.flushPending()
-      val t1 = System.nanoTime()
-      maintNanos += t1 - t0
-      complete(trigger, t1 - t0, st)
-    }
-    result("grouped", increments, flushes, maintNanos, 0L, tracker, agg)
-  }
 
   /** The static baseline (the DG/DW/FD columns): from-scratch peeling runs
     * back to back; an edge is answered by the first run whose snapshot was
     * taken at or after its arrival. The run duration `E_s` is measured on
     * the final graph; spotting capability per vertex is taken from a
-    * zero-cost incremental oracle pass at `oracleGranularity` edges, since
+    * zero-cost incremental oracle pass at [[OracleGranularity]] edges, since
     * the static algorithm detects exactly what the incremental one does —
     * only later.
     */
-  def replayStatic(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx],
-                   oracleGranularity: Int = 20, measuredRuns: Int = 1,
-                   spotBeta: Double = DefaultSpotBeta): ReplayResult = {
-    // Measure one static peel on the full final graph.
-    val full = new Spade(metric)
-    full.loadGraph(initial ++ increments)
-    var best = Long.MaxValue
-    (1 to measuredRuns).foreach { _ =>
-      val t0 = System.nanoTime()
-      StaticPeeling.peel(full.graph)
-      best = math.min(best, System.nanoTime() - t0)
-    }
-    val runSec = best / 1e9
-
-    // Oracle pass: when does each vertex *become detectable*?
-    val capability = detectionCapability(metric, initial, increments, oracleGranularity, spotBeta)
+  def replayStatic(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx]): ReplayResult = {
+    val runSec = staticPeelSeconds(metric, initial ++ increments)
+    val capability = detectionCapability(metric, initial, increments, OracleGranularity)
 
     val t0 = if (increments.isEmpty) 0.0 else increments.head.ts
     def snapshotAfter(ts: Double): Double = {
@@ -219,23 +221,31 @@ object StreamReplay {
     }
 
     val tracker = new PreventionTracker
-    increments.foreach { t =>
-      if (t.isFraud) {
-        tracker.fraudTotal += 1
-        val hit = Seq(t.src, t.dst).exists { v =>
-          // fraudsters known before the stream started (capability < t0)
-          // were banned by the previous pipeline run already
-          capability.get(v).exists(capTs =>
-            (if (capTs < t0) t0 else snapshotAfter(capTs)) < t.ts)
-        }
-        if (hit) tracker.fraudPrevented += 1
-      }
-      val completion = snapshotAfter(t.ts)
-      val start = completion - runSec
-      tracker.recordResponse(t, start, completion)
+    // fraudsters known before the stream started (capability < t0) were
+    // banned by the previous pipeline run already
+    capability.foreach { case (v, capTs) =>
+      tracker.spot(v, if (capTs < t0) t0 else snapshotAfter(capTs))
     }
-    result("static", increments, increments.length, 0L, 0L, tracker, ReorderStats.zero)
+    increments.foreach { t =>
+      tracker.observeArrival(t)
+      val completion = snapshotAfter(t.ts)
+      tracker.recordResponse(t, completion - runSec, completion)
+    }
+    tracker.result("static", increments.length, 0L, 0L, ReorderStats.zero)
       .copy(staticRunSeconds = runSec)
+  }
+
+  /** Static `E_s` of Tables 4 and 5: seconds of one static peel of the
+    * graph `txs` build, best of two runs.
+    */
+  def staticPeelSeconds(metric: Suspiciousness, txs: Seq[Tx]): Double = {
+    val full = new Spade(metric)
+    full.loadGraph(txs)
+    (1 to 2).map { _ =>
+      val t0 = System.nanoTime()
+      StaticPeeling.peel(full.graph)
+      System.nanoTime() - t0
+    }.min / 1e9
   }
 
   /** First-detectable arrival time per vertex: incremental replay in chunks
@@ -243,38 +253,18 @@ object StreamReplay {
     * oracle shared by the static latency model.
     */
   def detectionCapability(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx],
-                          granularity: Int, spotBeta: Double = DefaultSpotBeta): Map[Int, Double] = {
+                          granularity: Int): Map[Int, Double] = {
     val spade = new Spade(metric)
     spade.loadGraph(initial)
     val capability = mutable.HashMap.empty[Int, Double]
     val t0 = if (increments.isEmpty) 0.0 else increments.head.ts
-    spade.detectSuspects(spotBeta).members.foreach(v => capability.getOrElseUpdate(v, t0 - 1.0))
+    spade.detectSuspects(DefaultSpotBeta).members.foreach(v => capability.getOrElseUpdate(v, t0 - 1.0))
     increments.grouped(granularity).foreach { chunk =>
       spade.insertBatchEdges(chunk)
-      val c = spade.detectSuspects(spotBeta)
+      val c = spade.detectSuspects(DefaultSpotBeta)
       val ts = chunk.last.ts
       c.members.foreach(v => capability.getOrElseUpdate(v, ts))
     }
     capability.toMap
-  }
-
-  private def result(mode: String, increments: Seq[Tx], flushes: Int,
-                     maintNanos: Long, detNanos: Long, tracker: PreventionTracker,
-                     agg: ReorderStats): ReplayResult = {
-    val n = math.max(1, tracker.nAll)
-    ReplayResult(
-      mode = mode,
-      edges = increments.length,
-      flushes = flushes,
-      maintenanceNanos = maintNanos,
-      detectNanos = detNanos,
-      avgLatencyAll = tracker.latencyAllSum / n,
-      avgLatencyFraud = if (tracker.fraudTotal == 0) 0.0 else tracker.latencyFraudSum / tracker.fraudTotal,
-      avgQueueing = tracker.queueSum / n,
-      preventionRatio = tracker.preventionRatio,
-      fraudEdges = tracker.fraudTotal,
-      spottedVertices = tracker.spotCount,
-      stats = agg,
-    )
   }
 }

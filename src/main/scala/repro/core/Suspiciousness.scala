@@ -32,7 +32,9 @@ trait Suspiciousness {
   /** Prior suspiciousness of a newly materialized vertex. Must be >= 0. */
   def vsusp(u: Int, g: DynGraph): Double
 
-  /** Suspiciousness of a new edge, evaluated before it is added. Must be > 0. */
+  /** Suspiciousness of a new edge, evaluated before it is added (an endpoint
+    * may not be in `g` yet: id >= `g.numVertices`). Must be > 0 and finite.
+    */
   def esusp(tx: Tx, g: DynGraph): Double
 }
 

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{StreamingQuery, Trigger}
-import repro.core.{Community, ReorderStats, Spade, Suspiciousness, Tx}
+import repro.core.{Community, ReorderStats, Spade, StreamReplay, Suspiciousness, Tx}
 
 import scala.collection.mutable
 
@@ -21,15 +21,16 @@ import scala.collection.mutable
   * already folded in. `processBatch` therefore skips any `batchId` at or
   * below the last one it committed, so each batch's edges are inserted once,
   * which is the consistency the evolving-graph model of §2.1 (ordered edge
-  * insertions) requires.
+  * insertions) requires. A malformed transaction (see `Spade.isValid`) is
+  * skipped and counted in its batch's report instead of stopping the query.
   */
-final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = 0.6) {
+final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = StreamReplay.DefaultSpotBeta) {
 
   val spade = new Spade(metric)
 
-  /** One entry per processed micro-batch. */
+  /** One entry per processed micro-batch; `rejected` invalid rows were skipped. */
   final case class BatchReport(batchId: Long, edges: Int, community: Community,
-                               newlySpotted: Array[Int], stats: ReorderStats)
+                               newlySpotted: Array[Int], stats: ReorderStats, rejected: Int)
 
   private val reportsBuf = mutable.ArrayBuffer.empty[BatchReport]
   private val spotted = mutable.HashSet.empty[Int]
@@ -48,12 +49,12 @@ final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = 0.6) {
     * offline replay and the streaming sink share one code path. A replayed
     * batch (`batchId` at or below the last committed one) leaves the state
     * as it is and gets an unrecorded report with no edges, nothing newly
-    * spotted and zero reorder stats.
+    * spotted and zero reorder stats. Invalid transactions are skipped.
     */
   def processBatch(batchId: Long, txs: Array[Tx]): BatchReport = {
     if (batchId <= lastBatchId)
-      return BatchReport(batchId, 0, spade.community, Array.empty, ReorderStats.zero)
-    val ordered = txs.sortBy(t => (t.ts, t.src, t.dst))
+      return BatchReport(batchId, 0, spade.community, Array.empty, ReorderStats.zero, 0)
+    val ordered = txs.filter(spade.isValid).sortBy(t => (t.ts, t.src, t.dst))
     val stats = spade.insertBatchEdges(ordered.toSeq)
     val community = spade.detect()
     val suspects = spade.detectSuspects(spotBeta)
@@ -61,7 +62,7 @@ final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = 0.6) {
     reportsBuf.synchronized {
       val fresh = suspects.members.filterNot(spotted.contains)
       fresh.foreach(spotted.add)
-      val rep = BatchReport(batchId, ordered.length, community, fresh, stats)
+      val rep = BatchReport(batchId, ordered.length, community, fresh, stats, txs.length - ordered.length)
       reportsBuf += rep
       rep
     }

@@ -14,9 +14,6 @@ import repro.core.Tx
   */
 object TxFrames {
 
-  /** Schema every transaction DataFrame uses. */
-  val columns: Seq[String] = Seq("src", "dst", "amount", "ts", "fraudId")
-
   /** Collect a transaction DataFrame to the driver in arrival order. */
   def collectOrdered(df: DataFrame): Array[Tx] =
     df.select(col("src").cast("int"), col("dst").cast("int"),

@@ -23,6 +23,37 @@ class BatchInsertSpec extends AnyFunSuite {
     assert(spade.order.toVertexSeq == before)
   }
 
+  test("an invalid transaction mid-batch is rejected before any state changes") {
+    val base = randomTxs(20, 60, 3)
+    val bad = Seq(
+      Tx(30, 30, 1.0),                      // self-loop on a new vertex id
+      Tx(-1, 2, 1.0),                       // negative id
+      Tx(25, 3, 0.0),                       // DW amount <= 0, new vertex id
+      Tx(2, 26, Double.NaN),                // DW amount NaN
+      Tx(2, 27, Double.PositiveInfinity),   // DW esusp not finite
+    )
+    bad.foreach { b =>
+      val spade = loadedSpade(Suspiciousness.DW, base)
+      val edges = spade.graph.numEdges
+      val vertices = spade.graph.numVertices
+      val order = spade.order.toVertexSeq
+      val e = intercept[IllegalArgumentException] {
+        spade.insertBatchEdges(Seq(Tx(0, 21, 2.0), b, Tx(1, 22, 2.0)))
+      }
+      assert(e.getMessage.contains(b.toString))
+      assert(spade.graph.numEdges == edges, s"$b")
+      assert(spade.graph.numVertices == vertices, s"$b")
+      assert(spade.order.toVertexSeq == order, s"$b")
+      // the next valid insert also touches the ids the rejected batch named
+      spade.insertBatchEdges(Seq(Tx(0, 21, 2.0), Tx(4, 30, 1.5), Tx(5, 25, 0.5)))
+      assertMatchesStatic(spade, s"after rejecting $b")
+
+      val fresh = new Spade(Suspiciousness.DW)
+      intercept[IllegalArgumentException](fresh.loadGraph(base :+ b))
+      assert(fresh.graph.numEdges == 0 && fresh.graph.numVertices == 0, s"loadGraph $b")
+    }
+  }
+
   test("batch result equals one-by-one result (same final graph, same order)") {
     (1L to 15L).foreach { seed =>
       val rng = new scala.util.Random(seed)

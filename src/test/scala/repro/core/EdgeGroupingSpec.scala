@@ -97,6 +97,18 @@ class EdgeGroupingSpec extends AnyFunSuite {
     assertMatchesStatic(spade, "explicit flush")
   }
 
+  test("an invalid grouped edge is rejected before it is buffered") {
+    val spade = fringeAndCore()
+    assert(spade.insertGrouped(Tx(0, 2, 0.1)).isEmpty)
+    Seq(Tx(3, 3, 0.1), Tx(1, 4, -0.5)).foreach { bad =>
+      intercept[IllegalArgumentException](spade.insertGrouped(bad))
+    }
+    assert(spade.pendingCount == 1)
+    assert(spade.insertGrouped(Tx(0, 8, 2.0)).isDefined) // urgent: flushes the buffer
+    assert(spade.pendingCount == 0 && spade.graph.numEdges == 13)
+    assertMatchesStatic(spade, "after rejected grouped edges")
+  }
+
   test("flushPending on an empty buffer is a no-op") {
     val spade = fringeAndCore()
     assert(spade.flushPending() == ReorderStats.zero)

@@ -66,6 +66,21 @@ class StreamReplaySpec extends AnyFunSuite {
     assert(r.edges == inc.length)
   }
 
+  test("both incremental modes time spotting and put it in the response time") {
+    val (init, inc) = streamWithBurst()
+    Seq(
+      StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 10),
+      StreamReplay.replayGrouped(Suspiciousness.DW, init, inc),
+    ).foreach { r =>
+      assert(r.suspectsNanos > 0, r.mode)
+      // latency minus queueing is the service time of the edge's flush
+      val service = r.avgLatencyAll - r.avgQueueing
+      val suspectsPerEdge = r.suspectsNanos / 1e9 / r.edges
+      assert(service >= suspectsPerEdge - 1e-9,
+        s"${r.mode}: service $service s < suspects $suspectsPerEdge s per edge")
+    }
+  }
+
   test("static replay: per-edge latency spans one to two run lengths") {
     val (init, inc) = streamWithBurst()
     val r = StreamReplay.replayStatic(Suspiciousness.DW, init, inc)

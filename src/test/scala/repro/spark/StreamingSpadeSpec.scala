@@ -84,6 +84,29 @@ class StreamingSpadeSpec extends SparkSpec {
     assert(math.abs(a.spade.detect().density - b.spade.detect().density) < 1e-6)
   }
 
+  test("malformed rows are skipped and counted: the state equals an offline replay of the valid rows") {
+    val (init, inc) = streamData()
+    val chunks = inc.grouped(40).toArray
+    val bad = Array(Tx(5, 5, 1.0), Tx(100000, 100000, 1.0), Tx(-3, 7, 1.0), Tx(7, 9, 0.0),
+      Tx(8, 10, -2.0), Tx(9, 11, Double.NaN))
+    val pipeline = new StreamingSpade(Suspiciousness.DW)
+    pipeline.initialize(init.toSeq)
+    chunks.indices.foreach { b =>
+      val (lo, hi) = chunks(b).splitAt(chunks(b).length / 2)
+      val rep = pipeline.processBatch(b.toLong, lo ++ bad ++ hi)
+      assert(rep.edges == chunks(b).length && rep.rejected == bad.length)
+    }
+
+    val offline = new Spade(Suspiciousness.DW)
+    offline.loadGraph(init.toSeq)
+    chunks.foreach(c => offline.insertBatchEdges(c.toSeq))
+
+    assert(pipeline.spade.graph.numVertices == offline.graph.numVertices)
+    assert(pipeline.spade.graph.numEdges == offline.graph.numEdges)
+    assert(pipeline.spade.order.toVertexSeq == offline.order.toVertexSeq)
+    assert(pipeline.spade.community.density == offline.detect().density)
+  }
+
   test("a replayed batchId is skipped: applying batch k twice equals applying it once") {
     val (init, inc) = streamData()
     val chunks = inc.grouped(40).toArray
